@@ -11,8 +11,7 @@ round over ``n`` participants decomposes exactly:
   tie shares a shard by construction, the k-way merge degenerates to
   concatenation high-to-low — and the result is the monolithic
   :func:`repro.core.batch.descending_orders` permutation **bit for
-  bit**, including the ascending-index tie convention and the
-  IEEE-754 bit-view radix fast path for positive rows.
+  bit**, including the ascending-index tie convention.
 * **update** — Star's group-max gather and Clique's Theorem-3
   prefix-sum run per contiguous *group chunk* (:func:`shard_group_slices`)
   into a shared output, performing the identical elementwise float
@@ -287,9 +286,9 @@ def sharded_descending_orders(
     (:func:`bucket_partition`), stable-sort each shard's values
     descending, and concatenate high-to-low.  Shards are value-disjoint
     and ties never straddle a boundary, so the concatenation *is* the
-    k-way merge and equals the monolithic stable argsort bit for bit —
-    including the positive-row ``int64`` bit-view radix fast path, which
-    is decided once per matrix exactly like the monolith.
+    k-way merge and equals the monolithic stable argsort bit for bit.
+    Positive matrices sort each shard by its ``int64`` bit views, a
+    choice made once per matrix.
 
     With ``plan.mem_mb`` set and exceeded, the order output and index
     scratch spill to unlinked temp-file memmaps

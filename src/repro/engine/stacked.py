@@ -11,8 +11,10 @@ by hypothesis properties in ``tests/properties``: every elementwise
 float operation here is the same operation, on the same operands, as its
 scalar counterpart — gathering values into a different layout does not
 change what is added to what.  Clique tie order matches the scalar
-``np.lexsort((-skills, labels))`` convention via a two-pass stable sort
-(by member index, then by descending value).
+``np.lexsort((-skills, labels))`` convention: proposals dealt from one
+stable descending order already list every group that way (an O(n)
+check confirms it), and any other proposal is re-sorted by a two-pass
+stable sort (by member index, then by descending value).
 
 The update kernels (:func:`update_star_many`, :func:`update_clique_many`)
 moved here from ``repro.core.vectorized`` so the serving scheduler can
@@ -30,6 +32,7 @@ import numpy as np
 
 from repro._validation import require_divisible_groups
 from repro.analysis import contracts as _contracts
+from repro.core.batch import flat_row_index
 from repro.core.gain_functions import GainFunction
 from repro.core.grouping import Grouping
 from repro.core.interactions import InteractionMode, get_mode
@@ -74,12 +77,44 @@ def update_star_many(
     """
     t = _check_members(skills, members, k)
     trials, n = skills.shape
-    group_vals = np.take_along_axis(skills, members, axis=1).reshape(trials, k, t)
+    flat = flat_row_index(members)
+    group_vals = skills.reshape(-1)[flat].reshape(trials, k, t)
     teachers = np.max(group_vals, axis=2, keepdims=True)
     updated_groups = group_vals + np.asarray(gain(teachers - group_vals), dtype=np.float64)
-    out = np.empty_like(skills)
-    np.put_along_axis(out, members, updated_groups.reshape(trials, n), axis=1)
+    out = np.empty(skills.shape)
+    out.reshape(-1)[flat] = updated_groups.reshape(-1)
     return out
+
+
+def _groups_in_order(members: np.ndarray, values: np.ndarray) -> bool:
+    """Whether every group already lists (value desc, index asc).
+
+    ``members`` and ``values`` are ``(R, k, t)`` tensors.  True for every
+    proposal dealt from one stable descending order — DyGroups Star and
+    Clique, percentile — because each group lists ascending ranks.
+    Equal values count as ordered only when their indices ascend, and
+    a NaN never does, so such groups take the sorting path.
+    """
+    head, tail = values[..., :-1], values[..., 1:]
+    ascending = members[..., :-1] < members[..., 1:]
+    return bool(np.all((head > tail) | ((head == tail) & ascending)))
+
+
+def _sort_groups(members: np.ndarray, values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Sort each group of ``(R, k, t)`` tensors by (value desc, index asc).
+
+    A two-pass stable sort reproduces the scalar engine's
+    ``np.lexsort((-skills, labels))``: order members ascending first so
+    the stable by-value pass breaks ties by index.
+    """
+    by_index = np.argsort(members, axis=2, kind="stable")
+    members = np.take_along_axis(members, by_index, axis=2)
+    values = np.take_along_axis(values, by_index, axis=2)
+    by_value = np.argsort(-values, axis=2, kind="stable")
+    return (
+        np.take_along_axis(members, by_value, axis=2),
+        np.take_along_axis(values, by_value, axis=2),
+    )
 
 
 def update_clique_many(
@@ -87,11 +122,14 @@ def update_clique_many(
 ) -> np.ndarray:
     """Batched ``UPDATE-SKILLS-CLIQUE`` (Theorem 3) for linear gains.
 
-    Sorts each group of each trial by descending skill — ties broken by
-    ascending participant index, reproducing the scalar engine's
-    ``np.lexsort((-skills, labels))`` via a two-pass stable sort — then
-    applies the prefix-sum increment ``r·(c_i − i·s_{i+1}) / i`` with the
-    same float operations and operand order as the scalar kernel.
+    Theorem 3's prefix-sum increment ``r·(c_i − i·s_{i+1}) / i`` needs
+    each group in descending skill order, ties by ascending participant
+    index (the scalar engine's ``np.lexsort((-skills, labels))``).  A
+    proposal dealt from one stable descending order already lists its
+    groups that way, which an O(n) :func:`_groups_in_order` check
+    confirms; only other proposals (random, static over random) pay
+    for :func:`_sort_groups`.  The increment then runs with the same
+    float operations and operand order as the scalar kernel.
 
     Raises:
         ValueError: for a non-linear gain function (no closed form; use
@@ -102,28 +140,19 @@ def update_clique_many(
         raise ValueError("update_clique_many requires a linear gain function")
     rate: float = gain.rate  # type: ignore[attr-defined]
     trials, n = skills.shape
+    flat = flat_row_index(members)
     mem = members.reshape(trials, k, t)
-    vals = np.take_along_axis(skills, members, axis=1).reshape(trials, k, t)
-    # Two-pass stable sort == lexsort((-value, member)): order members
-    # ascending first so the stable by-value pass breaks ties by index.
-    by_index = np.argsort(mem, axis=2, kind="stable")
-    mem = np.take_along_axis(mem, by_index, axis=2)
-    vals = np.take_along_axis(vals, by_index, axis=2)
-    # Positive doubles order identically to their int64 bit views, and the
-    # stable sort on integer keys is radix — same tie-keeping permutation.
-    if vals.size and np.all(vals > 0.0):
-        by_value = np.argsort(-np.ascontiguousarray(vals).view(np.int64), axis=2, kind="stable")
-    else:
-        by_value = np.argsort(-vals, axis=2, kind="stable")
-    mem = np.take_along_axis(mem, by_value, axis=2)
-    vals = np.take_along_axis(vals, by_value, axis=2)
+    vals = skills.reshape(-1)[flat].reshape(trials, k, t)
+    if not _groups_in_order(mem, vals):
+        mem, vals = _sort_groups(mem, vals)
+        flat = flat_row_index(mem.reshape(trials, n))
     increment = np.zeros_like(vals)
     if t > 1:
         prefix = np.cumsum(vals, axis=2)
         ranks = np.arange(1, t, dtype=np.float64)
         increment[:, :, 1:] = rate * (prefix[:, :, :-1] - ranks * vals[:, :, 1:]) / ranks
-    out = np.empty_like(skills)
-    np.put_along_axis(out, mem.reshape(trials, n), (vals + increment).reshape(trials, n), axis=1)
+    out = np.empty(skills.shape)
+    out.reshape(-1)[flat] = (vals + increment).reshape(-1)
     return out
 
 

@@ -98,6 +98,15 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self.value}, max={self._max})"
 
 
+def _nearest_rank(ordered: "list[float]", p: float) -> float:
+    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(p / 100.0 * len(ordered))) - 1]
+
+
 class Histogram:
     """A series of observations with retained raw values and summary stats.
 
@@ -164,30 +173,35 @@ class Histogram:
         Raises:
             ValueError: when ``p`` is outside [0, 100].
         """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self.values), p)
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able summary plus the (retained) raw observation series."""
+        """JSON-able summary plus the (retained) raw observation series.
+
+        Request threads keep calling :meth:`observe` while ``/metrics``
+        snapshots, so everything derives from one ``list`` copy of the
+        retained values — taken in a single C-level call, which no other
+        thread can interleave with — never from a Python-level loop over
+        the live deque ("deque mutated during iteration").
+        """
+        values = list(self.values)
+        ordered = sorted(values)
+        total = math.fsum(values) if self.keep is None else self._total
+        count = self._count
         payload = {
             "type": self._kind,
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
+            "count": count,
+            "total": total,
+            "mean": total / count if count else 0.0,
             "min": self.min,
             "max": self.max,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "values": [round(v, 9) for v in self.values],
+            "p50": _nearest_rank(ordered, 50),
+            "p95": _nearest_rank(ordered, 95),
+            "p99": _nearest_rank(ordered, 99),
+            "values": [round(v, 9) for v in values],
         }
         if self.keep is not None:
-            payload["retained"] = len(self.values)
+            payload["retained"] = len(values)
         return payload
 
     def __repr__(self) -> str:

@@ -57,7 +57,7 @@ from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
 from repro.serve.errors import InvalidRequest, MatchmakingDisabled, ServiceClosed
 from repro.serve.scheduler import BatchScheduler
-from repro.serve.sessions import CohortSession, SessionStore
+from repro.serve.sessions import CohortSession, SessionStore, utc_now
 
 __all__ = ["GroupingService"]
 
@@ -81,6 +81,9 @@ class GroupingService:
         config: service tunables; defaults to :class:`ServeConfig()`.
         clock: injectable monotonic clock for the session store (tests
             fake it to drive TTL eviction).
+        wall_clock: injectable UTC wall clock for each cohort's
+            ``created_utc`` stamp (tests fix it to compare served
+            outputs).
     """
 
     def __init__(
@@ -88,8 +91,10 @@ class GroupingService:
         config: "ServeConfig | None" = None,
         *,
         clock: Any = time.monotonic,
+        wall_clock: Any = utc_now,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
+        self._wall_clock = wall_clock
         self._closed = False
         self._close_lock = _sanitize.lock("serve.service.close")
         self._started = time.monotonic()
@@ -237,6 +242,7 @@ class GroupingService:
                     seed=seed,
                     skills=skills,
                     record_history=record_history,
+                    wall_clock=self._wall_clock,
                 )
             )
         self._cohorts_created.inc()

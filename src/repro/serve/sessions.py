@@ -26,8 +26,9 @@ The batched scheduler path records externally computed rounds through
 :meth:`CohortSession.record_round_locked` instead.
 
 Clock discipline: TTLs are measured on an injectable *monotonic* clock
-(never jumps backwards); the wall clock is read only for the
-``created_utc`` display timestamp.  ``src/repro/serve/`` is on the
+(never jumps backwards); an injectable wall clock (``wall_clock``,
+:func:`utc_now` by default) is read only for the ``created_utc``
+display timestamp, so tests that compare served outputs can fix it.  ``src/repro/serve/`` is on the
 documented DYG103 allowlist for exactly this kind of read.
 """
 
@@ -49,10 +50,15 @@ from repro.engine.kernel import ProposeFn, RoundKernel
 from repro.analysis import sanitizer as _sanitize
 from repro.serve.errors import CapacityExhausted, CohortNotFound, SessionExpired
 
-__all__ = ["CohortSession", "SessionStore"]
+__all__ = ["CohortSession", "SessionStore", "utc_now"]
 
 #: How many evicted cohort ids the store remembers for 410 answers.
 _EVICTED_MEMORY = 1024
+
+
+def utc_now() -> datetime:
+    """The default wall clock: the current time in UTC."""
+    return datetime.now(timezone.utc)
 
 
 class CohortSession:
@@ -76,6 +82,7 @@ class CohortSession:
         seed: int,
         skills: np.ndarray,
         record_history: bool = False,
+        wall_clock: Callable[[], datetime] = utc_now,
     ) -> None:
         self.id = session_id
         self.policy = policy
@@ -93,7 +100,7 @@ class CohortSession:
         # Rank = session id: the scheduler's wave acquires session locks
         # sorted by id, so ids double as the sanctioned lock ordering.
         self._lock = _sanitize.lock("serve.session", rank=session_id)
-        self.created_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        self.created_utc = wall_clock().isoformat(timespec="seconds")
         # instrument=False: served rounds emit serve.* telemetry from the
         # service layer, never the offline engine's core.* events.
         self._kernel = RoundKernel(policy, mode, gain_fn, instrument=False)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs.metrics import (
@@ -93,6 +96,35 @@ class TestHistogram:
         assert snapshot["type"] == "histogram"
         assert snapshot["values"] == [1.25]
         assert snapshot["count"] == 1
+
+    def test_snapshot_while_observing_from_another_thread(self):
+        # /metrics snapshots while request threads observe: the snapshot
+        # must never iterate the live bounded deque at Python level.
+        histogram = Histogram("h", keep=256)
+        for value in range(256):
+            histogram.observe(float(value))
+        stop = threading.Event()
+
+        def observe_forever() -> None:
+            value = 0.0
+            while not stop.is_set():
+                histogram.observe(value)
+                value += 1.0
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=observe_forever)
+        writer.start()
+        try:
+            for _ in range(300):
+                snapshot = histogram.snapshot()
+                assert snapshot["retained"] == len(snapshot["values"]) == 256
+                assert snapshot["p50"] in snapshot["values"]
+        finally:
+            stop.set()
+            writer.join(timeout=10.0)
+            sys.setswitchinterval(previous)
+        assert not writer.is_alive()
 
 
 class TestTimer:

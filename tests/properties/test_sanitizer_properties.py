@@ -10,6 +10,8 @@ numbers.
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,14 +50,19 @@ def served_workloads(draw, max_cohorts: int = 3, max_k: int = 3, max_group_size:
     return cohorts
 
 
+def _fixed_wall_clock() -> datetime:
+    return datetime(2021, 4, 19, tzinfo=timezone.utc)
+
+
 def _run_workload(cohorts) -> tuple[list, dict]:
     """One full service run; returns (observable outputs, metrics snapshot)."""
     runtime.shutdown()
     runtime.metrics_registry().reset()
     outputs = []
-    # workers=0 → inline advancement: the only nondeterminism left would be
-    # whatever instrumentation injects, which is exactly what's under test.
-    with GroupingService(ServeConfig(workers=0)) as service:
+    # workers=0 → inline advancement and a fixed wall clock for the
+    # created_utc stamps: the only nondeterminism left would be whatever
+    # instrumentation injects, which is exactly what's under test.
+    with GroupingService(ServeConfig(workers=0), wall_clock=_fixed_wall_clock) as service:
         for spec in cohorts:
             payload = {k: spec[k] for k in ("skills", "k", "mode", "seed")}
             created = service.create_cohort(payload)

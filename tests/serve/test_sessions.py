@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.serve.sessions import CohortSession, SessionStore
 
 
 def build_session(session_id: str, skills: np.ndarray, *, k: int = 3, mode: str = "star",
-                  rate: float = 0.5, seed: int = 0, record_history: bool = False) -> CohortSession:
+                  rate: float = 0.5, seed: int = 0, record_history: bool = False,
+                  **kwargs) -> CohortSession:
     return CohortSession(
         session_id,
         policy=make_policy("dygroups", mode=mode, rate=rate),
@@ -26,6 +29,7 @@ def build_session(session_id: str, skills: np.ndarray, *, k: int = 3, mode: str 
         seed=seed,
         skills=skills,
         record_history=record_history,
+        **kwargs,
     )
 
 
@@ -78,6 +82,12 @@ class TestCohortSession:
 
         with pytest.raises(ValueError, match="k=2"):
             session.advance_round(lambda s, k, rng: dygroups_star_local(s, 2))
+
+    def test_created_utc_reads_the_injected_wall_clock(self, skills):
+        moment = datetime(2021, 4, 19, 8, 30, 15, 999, tzinfo=timezone.utc)
+        session = build_session("c1", skills, k=3, wall_clock=lambda: moment)
+        assert session.created_utc == "2021-04-19T08:30:15+00:00"
+        assert session.describe()["created_utc"] == session.created_utc
 
     def test_initial_skills_are_copied(self, skills):
         session = build_session("c1", skills, k=3)
