@@ -42,10 +42,8 @@ given), plus ``--contracts`` to enable the runtime invariant checks of
 docs/static-analysis.md.
 
 The spec-driven subcommands (``run``, ``sweep``, ``grid``) additionally
-accept the performance knobs ``--engine {auto,scalar,vectorized,sharded}``
-(stacked-trial vectorized simulation; ``sharded`` adds per-shard partial
-sorts with bounded memory), ``--shards N`` (shard count;
-``REPRO_SHARDS`` sets the default), ``--workers N`` (process
+accept the performance knobs ``--engine {auto,scalar,vectorized}``
+(stacked-trial vectorized simulation), ``--workers N`` (process
 parallelism; ``REPRO_WORKERS`` sets the default), and ``--pool
 {keep,per-call}`` (warm-worker-pool policy; ``REPRO_POOL`` sets the
 default) — all bit-identical to the scalar serial path; see
@@ -403,15 +401,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "kernels when possible; results are bit-identical either way",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard count for the sharded engine (per-shard partial sorts, "
-        "bounded memory); 0 defers to REPRO_SHARDS; a positive count makes "
-        "--engine auto prefer the sharded path for shardable policies; "
-        "results are bit-identical to the other engines",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -444,7 +433,6 @@ def _spec_from_args(args: argparse.Namespace):
         seed=args.seed,
         engine=args.engine,
         workers=args.workers,
-        shards=args.shards,
     )
 
 
@@ -610,11 +598,6 @@ def _command_list() -> int:
     for name, caps, params in rows:
         if params:
             print(f"                 {name} params: " + ", ".join(params))
-    print(
-        "shardable:     ",
-        ", ".join(name for name, caps, _ in rows if "shardable" in caps),
-        " (eligible for --engine sharded / --shards N / REPRO_SHARDS)",
-    )
     print("distributions: ", ", ".join(sorted(DISTRIBUTIONS)))
     print("journal events:", ", ".join(EVENTS))
     print("lint rules:    ", ", ".join(code for code, *_ in rule_catalog()),

@@ -169,7 +169,7 @@ def _packed_descending_orders(matrix: np.ndarray) -> np.ndarray:
     return first.reshape(-1)[flat_row_index(high.view(np.intp))].reshape(rows, n)
 
 
-def descending_orders(matrix: np.ndarray, *, plan=None) -> np.ndarray:
+def descending_orders(matrix: np.ndarray) -> np.ndarray:
     """Stable descending argsort of each row of a ``(m, n)`` skill matrix.
 
     This is the one vectorized call every batched DyGroups grouper reduces
@@ -185,17 +185,7 @@ def descending_orders(matrix: np.ndarray, *, plan=None) -> np.ndarray:
     took 150–190 ms.  Non-positive or non-finite input, and rows longer
     than 2³² (the packed index would not fit), take the stable float
     argsort.
-
-    With a :class:`repro.core.shard.ShardPlan` the call delegates to
-    :func:`repro.core.shard.sharded_descending_orders`, which bounds the
-    sort working set to one skill-range shard at a time (and can spill
-    the order output out of core) while returning the identical
-    permutation bit for bit.
     """
-    if plan is not None:
-        from repro.core.shard import sharded_descending_orders
-
-        return sharded_descending_orders(matrix, plan)
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.size and matrix.shape[1] <= 1 << 32 and np.all(matrix > 0.0):
         return _packed_descending_orders(matrix)

@@ -134,7 +134,6 @@ def experiment_spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
         "seed": spec.seed,
         "engine": spec.engine,
         "workers": spec.workers,
-        "shards": spec.shards,
     }
     if spec.lpa_max_evals is not None:
         payload["lpa_max_evals"] = spec.lpa_max_evals
@@ -146,7 +145,11 @@ def experiment_spec_from_dict(payload: dict[str, Any]) -> ExperimentSpec:
 
     Also reads the old on-disk form: plain algorithm names (no spec
     params) and an always-present, possibly ``null`` ``lpa_max_evals``
-    key.  Missing keys fall back to the spec defaults.
+    key.  Missing keys fall back to the spec defaults.  Files written by
+    the removed sharded engine carry a ``shards`` key, which is dropped,
+    and may say ``engine: "sharded"``, which loads as ``"vectorized"``;
+    this is exact because sharded trajectories were bit-identical to
+    vectorized ones.
 
     Raises:
         ValueError: if the stored configuration is invalid (unknown
@@ -154,11 +157,14 @@ def experiment_spec_from_dict(payload: dict[str, Any]) -> ExperimentSpec:
     """
     fields = dict(payload)
     fields.pop("format", None)
+    fields.pop("shards", None)
+    if fields.get("engine") == "sharded":
+        fields["engine"] = "vectorized"
     if "algorithms" in fields:
         fields["algorithms"] = tuple(fields["algorithms"])
     known = {
         "n", "k", "alpha", "rate", "mode", "distribution",
-        "algorithms", "runs", "seed", "lpa_max_evals", "engine", "workers", "shards",
+        "algorithms", "runs", "seed", "lpa_max_evals", "engine", "workers",
     }
     unknown = sorted(set(fields) - known)
     if unknown:

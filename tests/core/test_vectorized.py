@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import contracts
 from repro.baselines.annealing import AnnealingGrouping
@@ -33,7 +35,10 @@ from repro.core.vectorized import (
     update_star_many,
     vectorize_policy,
 )
+from repro.engine.select import select_engine
+from repro.engine.stacked import grouping_to_members
 from repro.extensions.concave import SqrtGain
+from repro.registry import build_policy
 
 
 def _grouping_from_row(members_row: np.ndarray, k: int) -> Grouping:
@@ -179,7 +184,7 @@ class TestSimulateMany:
         return np.random.default_rng(seed).uniform(1.0, 50.0, size=(trials, n))
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "scalar", "vectorized", "sharded")
+        assert ENGINES == ("auto", "scalar", "vectorized")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -337,3 +342,48 @@ class TestSimulateMany:
                 simulate_many(DyGroupsStar(), self._skills(), k=3, alpha=1, mode="star", rate=0.5)
         finally:
             mod.vectorize_policy = real
+
+
+class TestSelectEngine:
+    """Strict/fallback semantics of :func:`select_engine`."""
+
+    def _gain(self):
+        return LinearGain(0.5)
+
+    def test_forced_vectorized_stays_vectorized(self):
+        name, vec = select_engine(
+            build_policy("dygroups-star"), mode="star", gain=self._gain(), engine="vectorized"
+        )
+        assert name == "vectorized" and vec is not None
+
+    def test_forced_vectorized_raises_for_unvectorizable(self):
+        with pytest.raises(ValueError, match="no vectorized form"):
+            select_engine(
+                build_policy("kmeans"), mode="star", gain=self._gain(), engine="vectorized"
+            )
+
+    def test_auto_vectorizes_random(self):
+        name, vec = select_engine(build_policy("random"), mode="star", gain=self._gain())
+        assert name == "vectorized" and vec is not None
+
+
+class TestGroupingToMembers:
+    """Satellite: the stacked flattening rides the trusted fast path."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           k=st.integers(min_value=1, max_value=5),
+           size=st.integers(min_value=2, max_value=5))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_concatenate_reference(self, seed, k, size):
+        from repro.core.grouping import Grouping
+
+        n = k * size
+        perm = np.random.default_rng(seed).permutation(n)
+        grouping = Grouping(perm.reshape(k, size).tolist())
+        flat = grouping_to_members(grouping)
+        reference = np.concatenate([np.asarray(g, dtype=np.intp) for g in grouping])
+        assert flat.dtype == np.intp
+        assert np.array_equal(flat, reference)
+        # and the from_members fast path round-trips it
+        rebuilt = Grouping.from_members(flat.reshape(k, size))
+        assert rebuilt.canonical() == grouping.canonical()

@@ -11,6 +11,8 @@ from repro.core.dygroups import dygroups
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.io import (
+    experiment_spec_from_dict,
+    experiment_spec_to_dict,
     load_json,
     load_skills,
     save_json,
@@ -77,6 +79,28 @@ class TestSpecOutcomeExport:
         assert payload["spec"]["n"] == 30
         assert set(payload["outcomes"]) == {"dygroups", "random"}
         json.dumps(payload)
+
+
+class TestSpecRoundTrip:
+    def test_spec_io_round_trip(self):
+        spec = ExperimentSpec(
+            n=24, k=4, runs=2, algorithms=("dygroups",), engine="vectorized", workers=2
+        )
+        assert experiment_spec_from_dict(experiment_spec_to_dict(spec)) == spec
+
+    def test_loads_sharded_engine_payload(self):
+        # Written by the removed sharded engine: a "shards" key and
+        # engine "sharded", whose trajectories equal the vectorized ones.
+        payload = {
+            "n": 24, "k": 4, "alpha": 5, "rate": 0.5, "mode": "star",
+            "distribution": "lognormal", "algorithms": ["dygroups"], "runs": 2,
+            "seed": 7, "engine": "sharded", "workers": 0, "shards": 3,
+        }
+        spec = experiment_spec_from_dict(payload)
+        assert spec == ExperimentSpec(n=24, k=4, runs=2, algorithms=("dygroups",),
+                                      engine="vectorized")
+        with pytest.raises(ValueError, match="unknown experiment-spec keys"):
+            experiment_spec_from_dict({**payload, "chunks": 3})
 
 
 class TestJsonFiles:
