@@ -1,21 +1,20 @@
-"""Serving-layer throughput — closed-loop load against the in-process server.
+"""Serving-layer throughput — closed-loop load against the grouping service.
 
 Not a paper figure: this bench characterizes the :mod:`repro.serve`
 subsystem added for production-style deployment.  A closed-loop load
 generator (client threads, each running ``create → advance×R →
 inspect`` loops against one :class:`~repro.serve.service.GroupingService`
-through the in-process client) reports requests/second, p50/p95 request
-latency, and the grouping-memo hit rate, archived as
-``BENCH_serve_throughput.json``.  The in-process client is deliberate:
-the numbers measure the service (sessions + cache + scheduler), not
-socket syscalls.
+through the in-process client) reports requests/second and p50/p95
+loop latency, archived as ``BENCH_serve_throughput.json``.  The
+in-process client is deliberate for those rows: they measure the
+service (sessions + scheduler), not socket syscalls.  One more row,
+``keepalive``, measures what a real client waits for: single round
+steps over persistent HTTP/1.1 connections to a live server.
 
 Workloads:
 
-* ``replay`` — every client replays the same cohort configuration, the
-  memo's best case (exact-tier hits dominate after warmup);
-* ``adaptive`` — distinct skills per cohort (all cache misses) through
-  the **adaptive** scheduler: a round step is stacked into a batched
+* ``adaptive`` — distinct skills per cohort through the **adaptive**
+  scheduler: a round step is stacked into a batched
   ``propose_batch → apply_update_many`` wave only when a same-shape
   cohort is in flight at the same moment; a lone step falls through to
   the inline kernel (``serve.scheduler.step_inline_fallthrough``);
@@ -26,7 +25,14 @@ Workloads:
   through the scalar kernel on the caller thread (the before side);
 * ``inline_heavy`` / ``adaptive_heavy`` — the same pair under heavy
   fan-in (``HEAVY_CLIENTS`` threads), where same-shape overlap is
-  common and waves actually stack.
+  common and waves actually stack;
+* ``keepalive`` — :func:`repro.serve.http.start_server` on an ephemeral
+  port, ``KEEPALIVE_CLIENTS`` threads sharing one keep-alive
+  :class:`~repro.serve.client.HttpClient` (one ``http.client``
+  connection per thread), each stepping its own cohort one round per
+  request; reports round-step p50/p95.  A response written in two
+  pieces stalls on the client's delayed ACK (~40 ms per step), which
+  this row makes visible.
 
 On a multi-core host the heavy tier is where batching pulls ahead (the
 wave kernel releases the GIL into one vectorized update while client
@@ -51,8 +57,9 @@ from math import fsum
 
 import numpy as np
 
-from repro.serve.client import InProcessClient
+from repro.serve.client import HttpClient, InProcessClient
 from repro.serve.config import ServeConfig
+from repro.serve.http import start_server
 from repro.serve.service import GroupingService
 
 from benchmarks._util import FULL, emit, metrics_snapshot
@@ -75,6 +82,10 @@ ROUNDS = 6
 #: Cohort size / groups for the load shape.
 N, K = 120, 10
 
+#: Keep-alive HTTP client threads, and single-round steps each sends.
+KEEPALIVE_CLIENTS = 4
+KEEPALIVE_STEPS = 250 if FULL else 50
+
 
 def _scheduler_counters() -> tuple[int, float, int, int]:
     """(batches, summed batch size, recorded batches, inline fall-throughs)."""
@@ -89,22 +100,20 @@ def _scheduler_counters() -> tuple[int, float, int, int]:
 
 
 def _run_workload(
-    unique_skills: bool,
     *,
     workers: int = 4,
     adaptive: bool = True,
     clients: int = CLIENTS,
     loops: int = LOOPS,
 ) -> dict[str, float]:
-    """Drive the closed loop and return throughput/latency/hit-rate stats."""
-    base = np.random.default_rng(42).uniform(1.0, 10.0, size=N)
+    """Drive the closed loop and return throughput/latency stats."""
     latencies: list[float] = []
     lock = threading.Lock()
     batches_before, size_total_before, size_count_before, fall_before = (
         _scheduler_counters()
     )
 
-    config = ServeConfig(workers=workers, cache_size=512, adaptive_batch=adaptive)
+    config = ServeConfig(workers=workers, adaptive_batch=adaptive)
     with GroupingService(config) as service:
         client = InProcessClient(service)
 
@@ -112,9 +121,7 @@ def _run_workload(
             rng = np.random.default_rng(worker)
             local: list[float] = []
             for i in range(loops):
-                skills = (
-                    rng.uniform(1.0, 10.0, size=N) if unique_skills else base
-                ).tolist()
+                skills = rng.uniform(1.0, 10.0, size=N).tolist()
                 begin = time.perf_counter()
                 cohort = client.create_cohort(skills, K, mode="star", seed=7)["cohort"]
                 client.advance_rounds(cohort, ROUNDS)
@@ -131,11 +138,9 @@ def _run_workload(
         for thread in threads:
             thread.join()
         wall = time.perf_counter() - wall_start
-        cache_stats = service.cache.stats()
 
     ordered = sorted(latencies)
     requests = len(latencies) * 4  # create + advance + inspect + delete
-    probes = cache_stats["hits"] + cache_stats["misses"]
     batches_after, size_total_after, size_count_after, fall_after = (
         _scheduler_counters()
     )
@@ -150,7 +155,6 @@ def _run_workload(
         "loop_p50_ms": 1e3 * ordered[len(ordered) // 2],
         "loop_p95_ms": 1e3 * ordered[int(len(ordered) * 0.95)],
         "loop_mean_ms": 1e3 * fsum(ordered) / len(ordered),
-        "cache_hit_rate": cache_stats["hits"] / probes if probes else 0.0,
         "step_batches": step_batches,
         "step_batch_mean": (
             (size_total_after - size_total_before) / recorded if recorded else 0.0
@@ -159,18 +163,59 @@ def _run_workload(
     }
 
 
+def _run_keepalive() -> dict[str, float]:
+    """Single-round steps over keep-alive HTTP to a live server."""
+    latencies: list[float] = []
+    lock = threading.Lock()
+    server = start_server(GroupingService(ServeConfig(workers=4)), port=0)
+    try:
+        with HttpClient(server.url) as client:
+
+            def loop(worker: int) -> None:
+                skills = np.random.default_rng(worker).uniform(1.0, 10.0, size=N).tolist()
+                cohort = client.create_cohort(skills, K, mode="star", seed=7)["cohort"]
+                local: list[float] = []
+                for _ in range(KEEPALIVE_STEPS):
+                    begin = time.perf_counter()
+                    client.advance_rounds(cohort, 1)
+                    local.append(time.perf_counter() - begin)
+                client.delete_cohort(cohort)
+                with lock:
+                    latencies.extend(local)
+
+            threads = [
+                threading.Thread(target=loop, args=(w,)) for w in range(KEEPALIVE_CLIENTS)
+            ]
+            wall_start = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            wall = time.perf_counter() - wall_start
+    finally:
+        server.close()
+    ordered = sorted(latencies)
+    return {
+        "clients": KEEPALIVE_CLIENTS,
+        "steps": KEEPALIVE_STEPS,
+        "requests": len(ordered),
+        "wall_seconds": wall,
+        "req_per_second": len(ordered) / wall,
+        "step_p50_ms": 1e3 * ordered[len(ordered) // 2],
+        "step_p95_ms": 1e3 * ordered[int(len(ordered) * 0.95)],
+        "step_mean_ms": 1e3 * fsum(ordered) / len(ordered),
+    }
+
+
 def bench_serve_throughput(benchmark):
-    replay = benchmark.pedantic(
-        _run_workload, args=(False,), iterations=1, rounds=1
-    )
-    adaptive = _run_workload(True)
-    legacy = _run_workload(True, adaptive=False)
-    inline = _run_workload(True, workers=0)
-    inline_heavy = _run_workload(True, workers=0, clients=HEAVY_CLIENTS, loops=HEAVY_LOOPS)
-    adaptive_heavy = _run_workload(True, clients=HEAVY_CLIENTS, loops=HEAVY_LOOPS)
+    adaptive = benchmark.pedantic(_run_workload, iterations=1, rounds=1)
+    legacy = _run_workload(adaptive=False)
+    inline = _run_workload(workers=0)
+    inline_heavy = _run_workload(workers=0, clients=HEAVY_CLIENTS, loops=HEAVY_LOOPS)
+    adaptive_heavy = _run_workload(clients=HEAVY_CLIENTS, loops=HEAVY_LOOPS)
+    keepalive = _run_keepalive()
 
     rows = (
-        ("replay", replay),
         ("adaptive", adaptive),
         ("legacy", legacy),
         ("inline", inline),
@@ -180,18 +225,23 @@ def bench_serve_throughput(benchmark):
     lines = [
         f"closed-loop load: n={N}, k={K}, {ROUNDS} rounds/cohort; "
         f"standard tier {CLIENTS} clients x {LOOPS} loops, "
-        f"heavy tier {HEAVY_CLIENTS} clients x {HEAVY_LOOPS} loops",
+        f"heavy tier {HEAVY_CLIENTS} clients x {HEAVY_LOOPS} loops; "
+        f"keepalive {KEEPALIVE_CLIENTS} HTTP clients x {KEEPALIVE_STEPS} round steps",
         "",
         f"{'workload':<15} {'clients':>7} {'req/s':>10} {'p50 ms':>10} {'p95 ms':>10} "
-        f"{'hit rate':>9} {'batches':>8} {'inline':>7}",
+        f"{'batches':>8} {'inline':>7}",
     ]
     for name, stats in rows:
         lines.append(
             f"{name:<15} {stats['clients']:>7d} {stats['req_per_second']:>10.1f} "
             f"{stats['loop_p50_ms']:>10.2f} {stats['loop_p95_ms']:>10.2f} "
-            f"{stats['cache_hit_rate']:>9.2%} {stats['step_batches']:>8d} "
-            f"{stats['inline_fallthrough']:>7d}"
+            f"{stats['step_batches']:>8d} {stats['inline_fallthrough']:>7d}"
         )
+    lines.append(
+        f"{'keepalive':<15} {keepalive['clients']:>7d} {keepalive['req_per_second']:>10.1f} "
+        f"{keepalive['step_p50_ms']:>10.2f} {keepalive['step_p95_ms']:>10.2f}"
+        "   (one HTTP round step per request; p50/p95 are per step)"
+    )
     speedup = adaptive["req_per_second"] / inline["req_per_second"]
     heavy_speedup = adaptive_heavy["req_per_second"] / inline_heavy["req_per_second"]
     lines += [
@@ -217,14 +267,14 @@ def bench_serve_throughput(benchmark):
             "rounds": ROUNDS,
             "n": N,
             "k": K,
-            "replay": replay,
             "adaptive": adaptive,
             "legacy": legacy,
             "inline": inline,
             "inline_heavy": inline_heavy,
             "adaptive_heavy": adaptive_heavy,
+            "keepalive": keepalive,
             # Before/after of scheduler round-step batching on the same
-            # cache-miss load: "before" steps every cohort through the
+            # load: "before" steps every cohort through the
             # scalar kernel inline, "after" stacks same-shape cohorts
             # into propose_batch → apply_update_many waves when — and
             # only when — a same-shape backlog exists at drain time.
@@ -248,12 +298,8 @@ def bench_serve_throughput(benchmark):
         },
     )
 
-    # The replay workload must actually exercise the memo: after the first
-    # trajectory is cached, every later cohort replays it bit for bit.
-    assert replay["cache_hit_rate"] > 0.5, "replay workload should be cache-dominated"
-    # The unique workload computes every proposal fresh.
-    assert adaptive["cache_hit_rate"] < 0.1
-    assert replay["requests"] == CLIENTS * LOOPS * 4
+    assert adaptive["requests"] == CLIENTS * LOOPS * 4
+    assert keepalive["requests"] == KEEPALIVE_CLIENTS * KEEPALIVE_STEPS
     # Unconditional (legacy) batching must still engage under workers,
     # and the workerless baseline must bypass the scheduler entirely.
     assert legacy["step_batches"] > 0, "legacy scheduler should batch round steps"

@@ -1,7 +1,7 @@
 """DYG4xx — concurrency rules.
 
-The serve and scenario layers are threaded: session stores, grouping
-memos, micro-batching schedulers, and load generators all guard shared
+The serve and scenario layers are threaded: session stores,
+micro-batching schedulers, and load generators all guard shared
 state with locks, and the correctness of that guarding used to rest on
 convention alone.  These rules prove the conventions at lint time, the
 same way ``DYG1xx`` proves seeded-RNG threading:

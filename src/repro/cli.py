@@ -15,7 +15,7 @@ Subcommands:
 * ``trace`` — observability tooling (``trace summarize <journal.jsonl>``
   prints a per-phase timing table from a journal);
 * ``serve`` — the grouping service: a long-running HTTP JSON API over
-  the session store, grouping memo, and micro-batching scheduler of
+  the session store and micro-batching scheduler of
   :mod:`repro.serve` (see docs/serving.md); ``--slo TARGET=LIMIT``
   surfaces live SLO verdicts on ``GET /metrics``; ``--matchmaking``
   (with optional repeatable ``--matchmaking-spec k=v,...``) enables the
@@ -55,7 +55,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -248,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=2,
         help="scheduler worker threads; 0 computes proposals inline",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="grouping-memo entries; 0 disables the cache",
     )
     serve.add_argument(
         "--session-ttl", type=float, default=1800.0,
@@ -699,7 +695,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        cache_size=args.cache_size,
         session_ttl=args.session_ttl,
         queue_depth=args.queue_depth,
         batch_min=args.batch_min,
@@ -736,12 +731,17 @@ def _parse_matchmaking_spec(item: str) -> dict[str, object]:
 
 
 def _command_join(args: argparse.Namespace) -> int:
+    from repro.serve.client import HttpClient
+
+    with HttpClient(args.url, timeout=max(args.timeout, 5.0)) as client:
+        return _join_and_wait(client, args)
+
+
+def _join_and_wait(client: Any, args: argparse.Namespace) -> int:
     import time
 
-    from repro.serve.client import HttpClient
     from repro.serve.errors import ServeError
 
-    client = HttpClient(args.url, timeout=max(args.timeout, 5.0))
     try:
         joined = client.join(args.skill, participant=args.participant, spec=args.spec)
     except ServeError as error:

@@ -14,8 +14,7 @@ simulation engine (:mod:`repro.core.vectorized`):
   (position in the descending order) rather than member indices.  For a
   fixed ``(n, k, mode)`` this structure is constant: Algorithm 2 places
   rank ``i`` as teacher ``i`` and deals the rest in contiguous blocks;
-  Algorithm 3 deals rank ``j`` to group ``j mod k``.  The grouping
-  memo (:mod:`repro.serve.cache`) replays cached structures through it.
+  Algorithm 3 deals rank ``j`` to group ``j mod k``.
 * :func:`flat_rank_listing` — the same structure flattened to one
   ``(n,)`` index array (group ``g`` occupies the contiguous slice
   ``[g·t, (g+1)·t)``), the layout the batched update kernels consume.

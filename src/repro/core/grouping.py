@@ -132,8 +132,8 @@ class Grouping:
         of ``0 … n−1`` (rank listings indexed through a sort order are
         permutations by construction), so the partition checks of the
         validating constructor are skipped.  Hot in ``propose_batch`` and
-        the serve-layer grouping memo, where constructor validation used
-        to dominate the per-proposal cost.
+        the scalar groupers, where constructor validation used to
+        dominate the per-proposal cost.
         """
         k, size = members.shape
         n = k * size

@@ -43,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports engine)
 
 __all__ = ["RoundKernel", "StepOutcome", "check_required_mode"]
 
-#: The propose-step override signature (the serving layer passes the
-#: cache/scheduler fast path for the deterministic DyGroups groupers).
+#: The propose-step override signature (a caller-supplied grouper that
+#: replaces the kernel policy's own ``propose``).
 ProposeFn = Callable[[np.ndarray, int, np.random.Generator], Grouping]
 
 
@@ -149,8 +149,7 @@ class RoundKernel:
             k: number of groups; divides ``len(current)``.
             rng: the run's random generator, handed to the propose step.
             round_index: 0-based round number, for journal events.
-            propose: optional override for the propose step (the serving
-                layer's cache/scheduler fast path); defaults to the
+            propose: optional override for the propose step; defaults to the
                 kernel policy's own
                 :meth:`~repro.core.simulation.GroupingPolicy.propose`.
 

@@ -177,7 +177,7 @@ def grouping_to_members(grouping: Grouping) -> np.ndarray:
     Group ``g`` occupies the contiguous slice ``[g·t, (g+1)·t)`` of the
     returned ``(n,)`` index array, members in the grouping's own order —
     exactly the row layout :func:`update_star_many` /
-    :func:`update_clique_many` consume, so a served cohort's cached
+    :func:`update_clique_many` consume, so a served cohort's
     grouping feeds the batched update without re-deriving ranks.
 
     :class:`~repro.core.grouping.Grouping` guarantees equal-sized groups

@@ -258,7 +258,8 @@ def _run_http(spec: ScenarioSpec) -> ParadigmRun:
         service.close()
         raise
     try:
-        return _run_service_paradigm(spec, HttpClient(server.url), "http")
+        with HttpClient(server.url) as client:
+            return _run_service_paradigm(spec, client, "http")
     finally:
         server.close()
 
@@ -408,7 +409,8 @@ def _run_individual_http(spec: ScenarioSpec) -> ParadigmRun:
         service.close()
         raise
     try:
-        return _run_individual_paradigm(spec, HttpClient(server.url), "http")
+        with HttpClient(server.url) as client:
+            return _run_individual_paradigm(spec, client, "http")
     finally:
         server.close()
 

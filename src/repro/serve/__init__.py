@@ -3,21 +3,18 @@
 Serves the reproduction's DyGroups engine as a long-running service:
 
 * :mod:`repro.serve.sessions` — in-memory cohort store with TTL eviction;
-* :mod:`repro.serve.cache` — content-addressed grouping memo (LRU);
 * :mod:`repro.serve.scheduler` — micro-batching propose executor with
   bounded queues and explicit backpressure;
 * :mod:`repro.serve.http` — stdlib JSON API (``dygroups serve``);
-* :mod:`repro.serve.client` — in-process and urllib clients;
+* :mod:`repro.serve.client` — in-process and keep-alive HTTP clients;
 * :mod:`repro.serve.errors` — typed failures with HTTP statuses.
 
 The service path is bit-identical to the offline engine: a cohort
 advanced ``α`` rounds over the API reproduces ``simulate()`` with the
-same seed exactly, whether proposals come from the scalar grouper, the
-memo, or a vectorized batch (pinned by the integration and property
-tests).
+same seed exactly, whether proposals come from the scalar grouper or a
+vectorized batch (pinned by the integration and property tests).
 """
 
-from repro.serve.cache import GroupingCache
 from repro.serve.client import HttpClient, InProcessClient
 from repro.serve.config import ServeConfig
 from repro.serve.errors import (
@@ -44,7 +41,6 @@ __all__ = [
     "CohortNotFound",
     "CohortSession",
     "DuplicateJoin",
-    "GroupingCache",
     "GroupingHTTPServer",
     "GroupingService",
     "HttpClient",

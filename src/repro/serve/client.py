@@ -7,17 +7,20 @@ benchmarks can swap transports freely:
 * :class:`InProcessClient` calls a :class:`~repro.serve.service.GroupingService`
   directly — zero serialization, ideal for closed-loop benchmarks that
   should measure the service and not the socket;
-* :class:`HttpClient` speaks the JSON API over :mod:`urllib` (stdlib
-  only) and rebuilds typed errors from the structured envelope.
+* :class:`HttpClient` speaks the JSON API over persistent
+  :mod:`http.client` connections (stdlib only) and rebuilds typed
+  errors from the structured envelope.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
 from typing import Any, Mapping, Sequence
+from urllib.parse import urlsplit
 
+from repro.analysis import sanitizer as _sanitize
 from repro.serve.errors import ServeError, error_from_envelope
 from repro.serve.service import GroupingService
 
@@ -130,7 +133,15 @@ class InProcessClient:
 
 
 class HttpClient:
-    """Stdlib-urllib client for a running grouping server.
+    """Keep-alive HTTP client for a running grouping server.
+
+    Each calling thread holds one persistent
+    :class:`http.client.HTTPConnection` (the scenario load generator
+    shares one client across its sender threads).  A connection error
+    closes that thread's connection and raises :class:`ServeError`; the
+    next call reconnects.  Nothing is retried automatically: a retried
+    ``POST …/rounds`` could advance a cohort twice.  :meth:`close` (or
+    leaving a ``with`` block) closes every thread's connection.
 
     Args:
         base_url: server root, e.g. ``"http://127.0.0.1:8750"``.
@@ -140,28 +151,61 @@ class HttpClient:
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base_url must be an http(s):// URL, got {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host, self._port, self._root = parts.hostname, parts.port, parts.path
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._connections_lock = _sanitize.lock("serve.client.connections")
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._host, self._port, timeout=self.timeout)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.append(connection)
+        return connection
 
     def _request(
         self, method: str, path: str, payload: "Mapping[str, Any] | None" = None
     ) -> dict[str, Any]:
         body = None if payload is None else json.dumps(payload).encode()
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as error:
+            connection.request(
+                method, self._root + path, body=body, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            # A closed HTTPConnection reopens itself on its next request.
+            connection.close()
+            raise ServeError(f"cannot reach grouping server at {self.base_url}: {error}") from None
+        if not 200 <= response.status < 300:
             try:
-                envelope = json.loads(error.read())
-            except (json.JSONDecodeError, OSError):
+                envelope = json.loads(raw)
+            except ValueError:
                 envelope = None
-            raise error_from_envelope(envelope, status=error.code) from None
-        except urllib.error.URLError as error:
-            raise ServeError(f"cannot reach grouping server at {self.base_url}: {error.reason}") from None
+            raise error_from_envelope(envelope, status=response.status)
+        return json.loads(raw)
+
+    def close(self) -> None:
+        """Close every thread's connection (a later call reconnects)."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "HttpClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def create_cohort(
         self,

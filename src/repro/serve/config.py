@@ -1,7 +1,7 @@
 """Serving-layer configuration.
 
 One frozen dataclass holds every tunable of the grouping service —
-session TTLs, cache bounds, scheduler sizing, HTTP binding — validated
+session TTLs, scheduler sizing, HTTP binding — validated
 eagerly through :mod:`repro._validation` so a bad ``dygroups serve``
 invocation fails at startup with an actionable message, not mid-request.
 """
@@ -37,7 +37,6 @@ class ServeConfig:
         port: TCP port (0 lets the OS pick an ephemeral port).
         workers: scheduler worker threads; 0 disables the batching
             scheduler and computes proposals inline on the request thread.
-        cache_size: maximum entries in the grouping memo; 0 disables it.
         session_ttl: seconds of inactivity before a cohort is evicted.
         max_cohorts: upper bound on live cohorts (admission control).
         queue_depth: bound of the scheduler's request queue — submissions
@@ -77,7 +76,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     workers: int = 2
-    cache_size: int = 1024
     session_ttl: float = 1800.0
     max_cohorts: int = 4096
     queue_depth: int = 256
@@ -93,8 +91,6 @@ class ServeConfig:
             raise ValueError(f"port must be an int in [0, 65535], got {self.port!r}")
         if not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 0:
             raise ValueError(f"workers must be a non-negative int, got {self.workers!r}")
-        if not isinstance(self.cache_size, int) or isinstance(self.cache_size, bool) or self.cache_size < 0:
-            raise ValueError(f"cache_size must be a non-negative int, got {self.cache_size!r}")
         if not self.session_ttl > 0:
             raise ValueError(f"session_ttl must be positive, got {self.session_ttl!r}")
         if not self.request_timeout > 0:

@@ -14,7 +14,7 @@ POST      ``/v1/join``                    join the matchmaking queue (202)
 GET       ``/v1/participants/{id}``       participant status (waiting/matched/…)
 DELETE    ``/v1/participants/{id}``       leave the matchmaking queue
 GET       ``/v1/matchmaking``             queue depths, specs, condensed cohorts
-GET       ``/healthz``                    liveness + cache stats
+GET       ``/healthz``                    liveness + live cohort count
 GET       ``/metrics``                    metrics-registry snapshot (JSON)
 GET       ``/metrics?format=prometheus``  same registry, Prometheus text format
 ========  ==============================  =======================================
@@ -36,7 +36,10 @@ the :mod:`repro.serve.errors` taxonomy (400 validation, 404 unknown id,
 410 expired session, 429 backpressure, 504 propose timeout).  Every
 request is traced (``serve.http`` span), counted (``serve.http.*``
 metrics), and journaled (``http_request`` events) when observability is
-on.  Shutdown is graceful: ``close()`` stops the accept loop, drains the
+on.  Every response leaves in one write on a ``TCP_NODELAY`` socket; a
+client that disconnects mid-response is counted in
+``serve.http.client_aborts``, never answered with a second (500) write.
+Shutdown is graceful: ``close()`` stops the accept loop, drains the
 scheduler, and drops the sessions.
 
 ``src/repro/serve/`` is on the DYG103 allowlist: request timing and TTL
@@ -77,6 +80,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "dygroups-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a body larger than one
+    # segment must not wait on the client's delayed ACK for its tail.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -100,22 +106,34 @@ class _Handler(BaseHTTPRequestHandler):
             raise InvalidRequest(f"request body is not valid JSON: {error}") from error
 
     def _respond(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._status = status
+        self._send(status, json.dumps(payload).encode(), "application/json")
 
     def _respond_text(self, status: int, text: str, *, content_type: str) -> None:
-        body = text.encode()
+        self._send(status, text.encode(), content_type)
+
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """Write status line, headers and body in ONE ``sendall``.
+
+        ``end_headers`` would flush the headers as a write of their own,
+        and a keep-alive client's delayed ACK of that first segment holds
+        the body back under Nagle (~40 ms per response).  Appending the
+        blank line and the body to the header buffer makes the whole
+        response a single write.  A client that hung up mid-response is
+        counted as an abort; nothing more is written to its socket.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version != "HTTP/0.9":  # a 0.9 response is the bare body
+            body = b"\r\n" + body
+        self._headers_buffer = getattr(self, "_headers_buffer", []) + [body]
         self._status = status
+        try:
+            self.flush_headers()
+        except ConnectionError as error:
+            self.close_connection = True
+            _obs.metrics_registry().counter("serve.http.client_aborts").inc()
+            _log.debug("client %s aborted during the response: %s", self.address_string(), error)
 
     # -- request dispatch --------------------------------------------------
 

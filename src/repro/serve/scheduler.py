@@ -5,9 +5,7 @@ are pure functions of ``(skills, k, mode)`` — no generator state — so
 they can be coalesced: a worker drains up to ``batch_max`` queued
 requests, groups them by ``(n, k, mode)``, and answers each group with
 one vectorized :func:`repro.core.batch.propose_batch` call (a single
-``(m, n)`` argsort instead of ``m`` Python round trips).  Requests whose
-array is already memoized are answered straight from the
-:class:`~repro.serve.cache.GroupingCache`.
+``(m, n)`` argsort instead of ``m`` Python round trips).
 
 Full *round steps* batch the same way — but **adaptively**:
 :meth:`BatchScheduler.step_rounds` enqueues a whole multi-round
@@ -69,7 +67,6 @@ from repro.core.batch import BATCH_MODES, propose_batch
 from repro.core.grouping import Grouping
 from repro.engine.stacked import apply_update_many, grouping_to_members
 from repro.obs import runtime as _obs
-from repro.serve.cache import GroupingCache
 from repro.serve.config import REQUEST_HISTOGRAM_KEEP
 from repro.serve.errors import RequestTimeout, SchedulerSaturated, ServiceClosed
 
@@ -118,8 +115,6 @@ class BatchScheduler:
     """Coalesces concurrent propose requests into vectorized batches.
 
     Args:
-        cache: grouping memo consulted before (and filled after) every
-            batch compute; ``None`` disables memoization.
         workers: worker-thread count (must be positive — a service that
             wants inline computation simply doesn't build a scheduler).
         queue_depth: request-queue bound; submissions beyond it raise
@@ -145,7 +140,6 @@ class BatchScheduler:
 
     def __init__(
         self,
-        cache: "GroupingCache | None" = None,
         *,
         workers: int = 2,
         queue_depth: int = 256,
@@ -166,7 +160,6 @@ class BatchScheduler:
             not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1
         ):
             raise ValueError(f"parallelism must be a positive int or None, got {parallelism!r}")
-        self.cache = cache
         self.parallelism = parallelism if parallelism is not None else (os.cpu_count() or 1)
         # A step wave only pays when workers genuinely overlap: its fixed
         # costs (queue round trip, future wakeups) are serial, and on a
@@ -385,28 +378,14 @@ class BatchScheduler:
         """The inline kernel path: exactly what a worker-less service runs.
 
         ``advance_round`` takes the session lock and drives the session's
-        :class:`~repro.engine.kernel.RoundKernel`; the propose override
-        is the grouping-memo fast path (with the same Theorem-1 contract
-        check the service's inline route applies), so the records are
-        bit-identical to the batched wave's.  The closure and the kernel
-        timer are built once for the whole multi-round sequence — this
-        path answers most round steps on single-core hosts, so its
-        per-round overhead matters.
+        :class:`~repro.engine.kernel.RoundKernel` with the cohort's own
+        DyGroups policy (which checks Theorem 1 when contracts are on),
+        so the records are bit-identical to the batched wave's.
         """
-        propose = None
-        if self.cache is not None:
-            cache, mode = self.cache, session.mode.name
-
-            def propose(skills: np.ndarray, k: int, rng: object) -> Grouping:
-                grouping = cache.propose(skills, k, mode)
-                if _contracts.contracts_enabled():
-                    _contracts.check_top_k_teachers(skills, grouping)
-                return grouping
-
         # Inline steps are kernel compute too: keep the stage series
         # complete whichever way the adaptive decision went.
         with self._kernel_seconds.time():
-            return [session.advance_round(propose) for _ in range(rounds)]
+            return [session.advance_round() for _ in range(rounds)]
 
     def close(self, *, timeout: float = 5.0) -> None:
         """Stop accepting work, drain the queue, and join the workers."""
@@ -474,10 +453,7 @@ class BatchScheduler:
         for (_, k, mode), requests in by_shape.items():
             arrays = [request.skills for request in requests]
             try:
-                if self.cache is not None:
-                    groupings = self.cache.propose_batch(arrays, k, mode)
-                else:
-                    groupings = propose_batch(np.stack(arrays), k, mode)
+                groupings = propose_batch(np.stack(arrays), k, mode)
             except Exception as error:
                 for request in requests:
                     request.future.set_exception(error)
@@ -544,8 +520,8 @@ class BatchScheduler:
         each iteration advances every still-active cohort by one round
         with one batched proposal plus one stacked skill update, reading
         the skills the previous iteration wrote.  Bit-identity with the
-        inline path is the invariant: the proposal comes from the same
-        memo/batched grouper, and the stacked update is
+        inline path is the invariant: the batched proposal lists the same
+        members as the scalar grouper, and the stacked update is
         :func:`repro.engine.stacked.apply_update_many` — pinned equal to
         the scalar kernel per row — with the row-wise gain reduction
         summing the same operands in the same order.
@@ -574,17 +550,14 @@ class BatchScheduler:
             ]
             while pending:
                 arrays = [request.session.skills for request, _ in pending]
-                if self.cache is not None:
-                    groupings = self.cache.propose_batch(arrays, k, mode.name)
-                else:
-                    groupings = propose_batch(np.stack(arrays), k, mode.name)
+                stacked = np.stack(arrays)
+                groupings = propose_batch(stacked, k, mode.name)
                 if checking:
                     for skills, grouping in zip(arrays, groupings):
                         # Parity with the inline fast path, which checks
                         # Theorem 1 and the partition shape per proposal.
                         _contracts.check_top_k_teachers(skills, grouping)
                         _contracts.check_partition(grouping, n=skills.size, k=k)
-                stacked = np.stack(arrays)
                 members = np.stack(
                     [grouping_to_members(grouping) for grouping in groupings]
                 )

@@ -1,4 +1,4 @@
-"""The grouping service: sessions + cache + scheduler behind one facade.
+"""The grouping service: sessions + scheduler behind one facade.
 
 :class:`GroupingService` is the transport-agnostic application layer —
 the HTTP front-end (:mod:`repro.serve.http`) and the in-process client
@@ -14,10 +14,13 @@ answer ``404 matchmaking_disabled``).
 Round routing: the deterministic DyGroups groupers take the fast path —
 full batched round steps through the micro-batching scheduler when
 workers are configured (same-configuration cohorts advance together in
-one stacked update), else the grouping memo feeding the session's round
-kernel inline; every other registered policy — stochastic or stateful —
-runs inline on its per-cohort instance with the cohort's own seeded
-generator, preserving the offline engine's reproducibility guarantees.
+one stacked update), else the session's round kernel inline.  Every
+other registered policy — stochastic or stateful — runs inline on its
+per-cohort instance with the cohort's own seeded generator, preserving
+the offline engine's reproducibility guarantees.  Inline rounds always
+propose through the cohort's own policy: the DyGroups groupers already
+deal through the cached rank listing
+(:func:`repro.core.batch.flat_rank_listing`).
 
 Cohorts are created from the unified policy registry
 (:mod:`repro.registry`): the ``policy`` field accepts any registered
@@ -33,19 +36,15 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro._validation import (
     as_skill_array,
     require_divisible_groups,
     require_learning_rate,
     require_positive_int,
 )
-from repro.analysis import contracts as _contracts
 from repro.analysis import sanitizer as _sanitize
 from repro.core.batch import BATCH_MODES
 from repro.core.gain_functions import LinearGain
-from repro.core.grouping import Grouping
 from repro.core.interactions import get_mode
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
@@ -53,7 +52,6 @@ from repro.obs.metrics import render_prometheus
 from repro.registry import PolicySpec, build_policy
 from repro.scenarios.slo import SLOReport, evaluate_slos, slo_prometheus_lines
 from repro.scenarios.spec import SLOSpec
-from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
 from repro.serve.errors import InvalidRequest, MatchmakingDisabled, ServiceClosed
 from repro.serve.scheduler import BatchScheduler
@@ -61,7 +59,7 @@ from repro.serve.sessions import CohortSession, SessionStore, utc_now
 
 __all__ = ["GroupingService"]
 
-#: Policy names routed through the cache/scheduler fast path (their
+#: Policy names routed through the scheduler fast path (their
 #: propose step is the deterministic DyGroups-Local grouper).
 _FAST_PATH_POLICIES = frozenset({"dygroups", "dygroups-star", "dygroups-clique"})
 
@@ -111,10 +109,8 @@ class GroupingService:
             clock=clock,
             on_evict=self._record_eviction,
         )
-        self.cache = GroupingCache(self.config.cache_size) if self.config.cache_size > 0 else None
         self.scheduler = (
             BatchScheduler(
-                self.cache,
                 workers=self.config.workers,
                 queue_depth=self.config.queue_depth,
                 batch_max=self.config.batch_max,
@@ -287,9 +283,8 @@ class GroupingService:
                 self._rounds_advanced.inc(rounds)
                 played.extend(records)
             else:
-                propose = self._propose_fn(session)
                 for _ in range(rounds):
-                    record = session.advance_round(propose)
+                    record = session.advance_round()
                     self._rounds_advanced.inc()
                     played.append(record)
         state = _obs.state()
@@ -361,15 +356,13 @@ class GroupingService:
         return self._matchmaker_required().snapshot()
 
     def healthz(self) -> dict[str, Any]:
-        """Liveness payload: status, uptime, live cohorts, cache stats."""
+        """Liveness payload: status, uptime, live cohorts, workers."""
         payload: dict[str, Any] = {
             "status": "closed" if self._closed else "ok",
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "cohorts": len(self.store),
             "workers": self.config.workers,
         }
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats()
         if self.matchmaker is not None:
             payload["matchmaking"] = {
                 "waiting": self.matchmaker.queue.depth(),
@@ -422,25 +415,8 @@ class GroupingService:
             and session.mode.name in BATCH_MODES
         )
 
-    def _propose_fn(self, session: CohortSession) -> Any:
-        """The propose callable for one inline advance call, or ``None``
-        for the session policy's own propose."""
-        if self.cache is None or not self._fast_path(session):
-            return None
-        mode = session.mode.name
-
-        def propose(skills: np.ndarray, k: int, rng: np.random.Generator) -> Grouping:
-            grouping = self.cache.propose(skills, k, mode)
-            if _contracts.contracts_enabled():
-                # Parity with DyGroupsStar/Clique.propose, which check
-                # Theorem 1 on every offline proposal.
-                _contracts.check_top_k_teachers(skills, grouping)
-            return grouping
-
-        return propose
-
     def __repr__(self) -> str:
         return (
             f"GroupingService(cohorts={len(self.store)}, workers={self.config.workers}, "
-            f"cache={'on' if self.cache is not None else 'off'}, closed={self._closed})"
+            f"closed={self._closed})"
         )

@@ -130,9 +130,8 @@ class CohortSession:
         offline ``simulate`` driver runs.
 
         Args:
-            propose: optional override for the propose step (the service
-                passes the grouping-memo fast path for DyGroups
-                policies); defaults to the session policy's own
+            propose: optional override for the propose step; defaults
+                to the session policy's own
                 :meth:`~repro.core.simulation.GroupingPolicy.propose`.
 
         Returns:

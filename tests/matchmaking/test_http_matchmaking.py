@@ -36,7 +36,8 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return HttpClient(server.url, timeout=30.0)
+    with HttpClient(server.url, timeout=30.0) as http_client:
+        yield http_client
 
 
 @pytest.fixture
@@ -128,15 +129,15 @@ class TestErrorEnvelopes:
         assert json.loads(raw.value.read())["error"]["code"] == "duplicate_join"
 
     def test_disabled_server_rejects_matchmaking_routes(self, plain_server):
-        client = HttpClient(plain_server.url, timeout=30.0)
-        with pytest.raises(MatchmakingDisabled) as excinfo:
-            client.join(1.0)
-        assert excinfo.value.status == 404
-        assert excinfo.value.code == "matchmaking_disabled"
-        with pytest.raises(MatchmakingDisabled):
-            client.participant_status("anyone")
-        with pytest.raises(MatchmakingDisabled):
-            client.matchmaking()
+        with HttpClient(plain_server.url, timeout=30.0) as client:
+            with pytest.raises(MatchmakingDisabled) as excinfo:
+                client.join(1.0)
+            assert excinfo.value.status == 404
+            assert excinfo.value.code == "matchmaking_disabled"
+            with pytest.raises(MatchmakingDisabled):
+                client.participant_status("anyone")
+            with pytest.raises(MatchmakingDisabled):
+                client.matchmaking()
 
     def test_in_process_transport_raises_same_types(self):
         service = GroupingService(ServeConfig(workers=0, matchmaking=MM_CONFIG))

@@ -65,7 +65,7 @@ def test_every_vectorizable_policy_is_engine_invariant(instance):
         )
         assert np.array_equal(batch.final_skills[0], scalar.final_skills)
         assert np.array_equal(batch.round_gains[0], scalar.round_gains)
-        with GroupingService(ServeConfig(workers=0, cache_size=16)) as svc:
+        with GroupingService(ServeConfig(workers=0)) as svc:
             cohort = svc.create_cohort(
                 {
                     "skills": skills.tolist(),

@@ -1,12 +1,10 @@
 """Property-based tests for the serving layer's bit-identity guarantees.
 
-Three claims, over randomized ``(skills, k, mode)`` instances including
+Two claims, over randomized ``(skills, k, mode)`` instances including
 ties and repeated values:
 
 1. the vectorized batch grouper equals the scalar groupers row for row;
-2. a cache *hit* — exact tier or rank tier — returns exactly what a cold
-   compute would, no matter what was inserted before the query;
-3. a session advanced round by round over the service equals an offline
+2. a session advanced round by round over the service equals an offline
    ``simulate`` run with the same seed.
 """
 
@@ -20,7 +18,6 @@ from repro.baselines.registry import make_policy
 from repro.core.batch import propose_batch
 from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.core.simulation import simulate
-from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
 from repro.serve.service import GroupingService
 
@@ -65,28 +62,6 @@ def test_batch_propose_equals_scalar_groupers(instance):
         assert groups_of(grouping) == groups_of(REFERENCE[mode](row, k))
 
 
-@given(instance=skill_batches())
-@settings(max_examples=60, deadline=None)
-def test_cache_hits_are_bit_identical_to_cold_computes(instance):
-    """Acceptance: whatever the cache state, propose == fresh compute."""
-    matrix, k, mode = instance
-    cache = GroupingCache(max_entries=8)
-    for row in matrix:
-        # First pass warms exact and rank tiers in arbitrary interleavings...
-        cache.propose(row, k, mode)
-    for row in matrix:
-        # ...second pass must still match a cold scalar compute exactly,
-        # for repeats (exact tier) and permuted multisets (rank tier) alike.
-        assert groups_of(cache.propose(row, k, mode)) == groups_of(REFERENCE[mode](row, k))
-        permuted = row[np.argsort(row, kind="stable")]  # a deterministic permutation
-        assert groups_of(cache.propose(permuted, k, mode)) == groups_of(
-            REFERENCE[mode](permuted, k)
-        )
-    # Batch entry point agrees with the scalar entry point.
-    for row, grouping in zip(matrix, cache.propose_batch(list(matrix), k, mode)):
-        assert groups_of(grouping) == groups_of(REFERENCE[mode](row, k))
-
-
 @st.composite
 def cohort_instances(draw):
     k = draw(st.integers(min_value=1, max_value=3))
@@ -109,7 +84,7 @@ def cohort_instances(draw):
 @settings(max_examples=25, deadline=None)
 def test_served_trajectories_equal_offline_simulate(instance):
     skills, k, mode, seed, alpha = instance
-    with GroupingService(ServeConfig(workers=0, cache_size=16)) as service:
+    with GroupingService(ServeConfig(workers=0)) as service:
         cohort = service.create_cohort(
             {"skills": skills.tolist(), "k": k, "mode": mode, "seed": seed}
         )["cohort"]
@@ -133,9 +108,9 @@ def test_adaptive_legacy_and_inline_scheduling_agree(instance):
     payload = {"skills": skills.tolist(), "k": k, "mode": mode, "seed": seed}
     trajectories = []
     for config in (
-        ServeConfig(workers=0, cache_size=16),
-        ServeConfig(workers=2, cache_size=16, adaptive_batch=True),
-        ServeConfig(workers=2, cache_size=16, adaptive_batch=False),
+        ServeConfig(workers=0),
+        ServeConfig(workers=2, adaptive_batch=True),
+        ServeConfig(workers=2, adaptive_batch=False),
     ):
         with GroupingService(config) as service:
             cohort = service.create_cohort(payload)["cohort"]

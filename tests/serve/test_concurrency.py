@@ -34,7 +34,7 @@ def test_one_cohort_hammered_from_many_threads(skills, mode):
     """No lost rounds, no duplicate indices, contracts-clean throughout."""
     with contracts.contracts_scope():
         assert contracts.contracts_enabled()
-        with GroupingService(ServeConfig(workers=4, cache_size=256)) as service:
+        with GroupingService(ServeConfig(workers=4)) as service:
             cohort = service.create_cohort(
                 {"skills": skills.tolist(), "k": 5, "mode": mode, "seed": 21}
             )["cohort"]
@@ -70,7 +70,7 @@ def test_one_cohort_hammered_from_many_threads(skills, mode):
 
 
 def test_many_cohorts_created_and_advanced_concurrently(skills):
-    with GroupingService(ServeConfig(workers=4, cache_size=256)) as service:
+    with GroupingService(ServeConfig(workers=4)) as service:
 
         def worker(seed: int) -> float:
             cohort = service.create_cohort(
@@ -89,7 +89,7 @@ def test_many_cohorts_created_and_advanced_concurrently(skills):
 
 def test_saturated_service_degrades_with_429_not_growth(skills):
     """Overload rejects loudly; accepted work still completes correctly."""
-    config = ServeConfig(workers=1, queue_depth=2, batch_max=1, cache_size=0)
+    config = ServeConfig(workers=1, queue_depth=2, batch_max=1)
     with GroupingService(config) as service:
         cohorts = [
             service.create_cohort({"skills": skills.tolist(), "k": 5, "seed": i})["cohort"]

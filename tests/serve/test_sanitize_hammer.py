@@ -32,9 +32,7 @@ def sanitized_service():
         sanitizer.reset()
         # Tiny TTL so eviction races the workers; 2 scheduler workers so
         # batched waves run concurrently with inline advancement.
-        service = GroupingService(
-            ServeConfig(workers=2, session_ttl=0.05, cache_size=64)
-        )
+        service = GroupingService(ServeConfig(workers=2, session_ttl=0.05))
         try:
             yield service
         finally:

@@ -7,9 +7,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.batch import propose_batch
 from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.obs import runtime
-from repro.serve.cache import GroupingCache
+from repro.serve import scheduler as scheduler_module
 from repro.serve.config import ServeConfig
 from repro.serve.errors import RequestTimeout, SchedulerSaturated, ServiceClosed
 from repro.serve.scheduler import BatchScheduler
@@ -41,7 +42,7 @@ class TestPropose:
             (rng.uniform(1, 9, size=12), 4, "clique"),
             (rng.uniform(1, 9, size=20), 5, "star"),
         ] * 8
-        with BatchScheduler(GroupingCache(), workers=3) as scheduler:
+        with BatchScheduler(workers=3) as scheduler:
             futures = [scheduler.submit(s, k, m) for s, k, m in jobs]
             results = [f.result(timeout=10.0) for f in futures]
         for (s, k, m), grouping in zip(jobs, results):
@@ -68,27 +69,30 @@ class TestPropose:
                 future.result(timeout=10.0)
 
 
-class _StallingCache:
-    """Cache stand-in that parks the worker until released (backpressure tests)."""
+class _StallingPropose:
+    """``propose_batch`` stand-in that parks the worker until released."""
 
     def __init__(self) -> None:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def propose_batch(self, arrays, k, mode):
+    def __call__(self, matrix, k, mode):
         self.entered.set()
-        assert self.release.wait(timeout=10.0), "stalling cache never released"
-        return GroupingCache().propose_batch(arrays, k, mode)
+        assert self.release.wait(timeout=10.0), "stalled propose never released"
+        return propose_batch(matrix, k, mode)
 
-    def propose(self, skills, k, mode):
-        # The drain-time inline fall-through path; never stalls.
-        return GroupingCache().propose(skills, k, mode)
+
+@pytest.fixture
+def stall(monkeypatch):
+    """Park the scheduler's batched proposals (backpressure and wave tests)."""
+    stalling = _StallingPropose()
+    monkeypatch.setattr(scheduler_module, "propose_batch", stalling)
+    return stalling
 
 
 class TestBackpressure:
-    def test_saturation_rejects_not_queues(self, skills):
-        stall = _StallingCache()
-        scheduler = BatchScheduler(stall, workers=1, queue_depth=2, batch_max=1)
+    def test_saturation_rejects_not_queues(self, skills, stall):
+        scheduler = BatchScheduler(workers=1, queue_depth=2, batch_max=1)
         try:
             blocker = scheduler.submit(skills, 3, "star")
             assert stall.entered.wait(timeout=10.0)  # worker is now parked
@@ -148,7 +152,7 @@ def _service_with_cohorts(count, *, n=12, k=3, mode="star", seed=11):
     Identical payloads mean identical trajectories, so any cohort doubles
     as the bit-identity reference for any other.
     """
-    service = GroupingService(ServeConfig(workers=0, cache_size=0))
+    service = GroupingService(ServeConfig(workers=0))
     rng = np.random.default_rng(31)
     skills = rng.uniform(1.0, 9.0, size=n).tolist()
     ids = [
@@ -199,14 +203,13 @@ class TestAdaptiveSteps:
             for records in results.values():
                 assert [r["gain"] for r in records] == [r["gain"] for r in expected]
 
-    def test_wave_is_bit_identical_to_inline(self, skills):
+    def test_wave_is_bit_identical_to_inline(self, skills, stall):
         service, sessions = _service_with_cohorts(4)
         reference = sessions[-1]
-        stall = _StallingCache()
         with service:
             waves = _counter("serve.scheduler.step_batches")
             scheduler = BatchScheduler(
-                stall, workers=1, adaptive=True, batch_min=2, parallelism=4
+                workers=1, adaptive=True, batch_min=2, parallelism=4
             )
             try:
                 # Park the lone worker on a propose request, enqueue three
@@ -226,14 +229,13 @@ class TestAdaptiveSteps:
                 assert [r["gain"] for r in records] == [r["gain"] for r in expected]
                 assert [r["groups"] for r in records] == [r["groups"] for r in expected]
 
-    def test_undersized_wave_falls_through_at_drain(self, skills):
+    def test_undersized_wave_falls_through_at_drain(self, skills, stall):
         service, (subject, reference) = _service_with_cohorts(2)
-        stall = _StallingCache()
         with service:
             falls = _counter("serve.scheduler.step_inline_fallthrough")
             waves = _counter("serve.scheduler.step_batches")
             scheduler = BatchScheduler(
-                stall, workers=1, adaptive=True, batch_min=2, parallelism=4
+                workers=1, adaptive=True, batch_min=2, parallelism=4
             )
             try:
                 parked = scheduler.submit(skills, 3, "star")

@@ -57,16 +57,21 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8750
         assert args.workers == 2
-        assert args.cache_size == 1024
+        assert not hasattr(args, "cache_size")
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--workers", "4", "--cache-size", "0", "--contracts"]
+            ["serve", "--port", "0", "--workers", "4", "--contracts"]
         )
         assert args.port == 0
         assert args.workers == 4
-        assert args.cache_size == 0
         assert args.contracts is True
+
+    def test_serve_cache_size_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--cache-size", "8"])
+        assert excinfo.value.code == 2
+        assert "--cache-size" in capsys.readouterr().err
 
     def test_serve_slo_flags_accumulate(self):
         args = build_parser().parse_args(
